@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Value is the result of evaluating an expression: one of
@@ -227,9 +228,20 @@ func (l *lexer) lexString() (token, error) {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\\' && l.pos+1 < len(l.src) {
-			l.pos++
-			sb.WriteRune(l.src[l.pos])
-			l.pos++
+			// Escapes are Go's, the ones Value.String writes with
+			// strconv.Quote, so a printed string parses back unchanged.
+			// The longest escape (\UXXXXXXXX) spans ten runes, all ASCII.
+			esc := string(l.src[l.pos:min(l.pos+10, len(l.src))])
+			r, multibyte, tail, err := strconv.UnquoteChar(esc, '"')
+			if err != nil {
+				return token{}, fmt.Errorf("classad: bad escape in string starting at %d", start)
+			}
+			if r < utf8.RuneSelf || !multibyte {
+				sb.WriteByte(byte(r))
+			} else {
+				sb.WriteRune(r)
+			}
+			l.pos += len(esc) - len(tail)
 			continue
 		}
 		if c == '"' {

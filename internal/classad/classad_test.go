@@ -185,6 +185,23 @@ func TestStringEscapes(t *testing.T) {
 	}
 }
 
+// A string printed by Value.String parses back to the same string.
+func TestStringLiteralRoundTrips(t *testing.T) {
+	for _, s := range []string{"\x1d", "a\nb", "t\tt", `say "hi"`, `back\slash`} {
+		src := String(s).String()
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%s): %v", src, err)
+		}
+		if got, ok := e.Eval(nil, nil).AsString(); !ok || got != s {
+			t.Errorf("Parse(%s) = %q, want %q", src, got, s)
+		}
+	}
+	if _, err := Parse(`"a\c"`); err == nil {
+		t.Error(`Parse("a\c") accepted an escape Value.String never writes`)
+	}
+}
+
 func TestExprStringRoundTrips(t *testing.T) {
 	// Property: rendering a parsed expression re-parses to the same value.
 	srcs := []string{

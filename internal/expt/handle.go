@@ -1,18 +1,20 @@
 package expt
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// A CampaignHandle exposes a shardable campaign to external drivers —
-// the fault-tolerant scheduler in internal/sched — without exporting
-// the campaign struct itself: the canonical cell-id list, the options
-// fingerprint, a per-cell runner producing manifest-ready records, and
-// the shared finalizer. RunCell is deterministic per cell id (same
-// options, same bytes), which is what lets the scheduler arbitrate
-// duplicate completions by digest equality and lets any execution
-// order re-finalize to the byte-identical unsharded report.
+// A CampaignHandle exposes a shardable campaign to its drivers — the
+// shard runner, the bundle merge, and the fault-tolerant scheduler in
+// internal/sched — without exporting the campaign struct itself: the
+// canonical cell-id list, the options fingerprint, a per-cell runner
+// producing manifest-ready records, and the shared finalizer. RunCell
+// is deterministic per cell id (same options, same bytes), which is
+// what lets the scheduler arbitrate duplicate completions by digest
+// equality and lets any execution order re-finalize to the
+// byte-identical unsharded report.
 type CampaignHandle struct {
 	c   *campaign
 	opt Options
@@ -62,8 +64,10 @@ func (h *CampaignHandle) Fingerprint() string { return h.fp }
 func (h *CampaignHandle) CellIDs() []string { return h.ids }
 
 // RunCell executes one cell by id and returns its manifest record:
-// the compact-JSON result bytes, their digest, and the cell
-// simulation's final sim-clock reading.
+// the compact json.Marshal result bytes (the form digests are computed
+// over, and the form Go's encoder passes through RawMessage
+// unchanged), their digest, and the cell simulation's final sim-clock
+// reading.
 func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 	i, ok := h.pos[id]
 	if !ok {
@@ -73,7 +77,7 @@ func (h *CampaignHandle) RunCell(id string) (CellRecord, error) {
 	if err != nil {
 		return CellRecord{}, err
 	}
-	raw, err := marshalCell(result)
+	raw, err := json.Marshal(result)
 	if err != nil {
 		return CellRecord{}, fmt.Errorf("expt: cell %q: %w", id, err)
 	}

@@ -38,15 +38,16 @@ type CampaignManifest struct {
 	// Leased marks a scheduler worker bundle: cells were assigned by
 	// coordinator leases rather than the static FNV hash partition, so
 	// any worker may own any cell. Validation skips the hash-ownership
-	// check, and merges establish coverage by union-with-digest-
-	// arbitration instead of per-shard ownership (DESIGN.md §16).
+	// check, the ledger lists only completed cells, and incomplete
+	// worker bundles still merge (DESIGN.md §13, §16).
 	Leased bool `json:"leased,omitempty"`
 	// Fingerprint pins the Options the shard ran under; a merge or
 	// resume with different options must fail loudly rather than mix
 	// incompatible results.
 	Fingerprint string `json:"fingerprint"`
 	// Ledger is the cell-completion record: one dagman manifest node
-	// per owned cell, in canonical cell order.
+	// per owned cell (per completed cell when Leased), in canonical
+	// cell order.
 	Ledger dagman.Manifest `json:"ledger"`
 	// Cells holds the completed cells' results, in canonical order.
 	Cells []CellRecord `json:"cells"`
@@ -229,17 +230,231 @@ func (m *CampaignManifest) Validate() error {
 	return nil
 }
 
-// Complete reports whether every owned cell is done.
+// Complete reports whether every ledger cell is done.
 func (m *CampaignManifest) Complete() bool {
 	return m.Ledger.DoneCount() == len(m.Ledger.Nodes)
 }
 
-// result returns the stored payload for a cell id, if present.
-func (m *CampaignManifest) result(id string) (CellRecord, bool) {
-	for _, c := range m.Cells {
-		if c.ID == id {
-			return c, true
+// The bundle protocol (DESIGN.md §13). Both campaign drivers — the
+// hash-partitioned shard runner (RunShard) and the leased scheduler
+// (internal/sched) — write bundles with NewBundle, resume from them
+// with LoadBundle, and hand them to MergeManifests, so bundle
+// semantics are defined here and nowhere else.
+
+// A CampaignRef identifies the campaign run a bundle belongs to: its
+// name, its options fingerprint, and its canonical cell ids.
+// CampaignHandle implements it, as does every scheduler Source.
+type CampaignRef interface {
+	Name() string
+	Fingerprint() string
+	CellIDs() []string
+}
+
+// NewBundle builds the manifest for one slot of a campaign run. ledger
+// lists the slot's cells in canonical order and done holds the
+// completed records. A hash shard's ledger records every owned cell,
+// done or not, so a resume knows what remains; a leased worker may be
+// handed any cell, so its ledger records only its completions.
+func NewBundle(c CampaignRef, slot ShardSpec, leased bool, ledger []string, done map[string]CellRecord, metrics *obs.Snapshot) *CampaignManifest {
+	dag := fmt.Sprintf("%s-shard%s", c.Name(), slot)
+	if leased {
+		dag = fmt.Sprintf("%s-worker%dof%d", c.Name(), slot.Index, slot.Total)
+	}
+	m := &CampaignManifest{
+		Format:      CampaignManifestFormat,
+		Campaign:    c.Name(),
+		Shard:       slot,
+		Leased:      leased,
+		Fingerprint: c.Fingerprint(),
+		Ledger:      dagman.Manifest{Format: dagman.ManifestFormat, DAG: dag},
+		Metrics:     metrics,
+	}
+	for _, id := range ledger {
+		rec, ok := done[id]
+		if !ok && leased {
+			continue
+		}
+		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: id, Done: ok})
+		if ok {
+			m.Cells = append(m.Cells, rec)
+			m.SimMax = max(m.SimMax, rec.SimEnd)
 		}
 	}
-	return CellRecord{}, false
+	return m
+}
+
+// LoadBundle reads the bundle at path for a resume and checks that it
+// belongs to c's run at slot: same campaign, slot, leased flag and
+// options fingerprint, and every ledger cell a canonical cell id. It
+// returns the stored records by cell id and the embedded metrics. A
+// missing file yields an error wrapping os.ErrNotExist.
+func LoadBundle(c CampaignRef, path string, slot ShardSpec, leased bool) (map[string]CellRecord, *obs.Snapshot, error) {
+	m, err := ReadCampaignManifestFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if m.Campaign != c.Name() || m.Shard != slot || m.Leased != leased {
+		return nil, nil, fmt.Errorf("expt: bundle %s is %s slot %s (leased=%t), want %s slot %s (leased=%t)",
+			path, m.Campaign, m.Shard, m.Leased, c.Name(), slot, leased)
+	}
+	if m.Fingerprint != c.Fingerprint() {
+		return nil, nil, fmt.Errorf("expt: bundle %s fingerprint %s does not match options fingerprint %s (different scale/seeds?)",
+			path, m.Fingerprint, c.Fingerprint())
+	}
+	canonical := make(map[string]bool, len(c.CellIDs()))
+	for _, id := range c.CellIDs() {
+		canonical[id] = true
+	}
+	for _, n := range m.Ledger.Nodes {
+		if !canonical[n.Name] {
+			return nil, nil, fmt.Errorf("expt: bundle %s has unknown cell %q", path, n.Name)
+		}
+	}
+	done := make(map[string]CellRecord, len(m.Cells))
+	for _, rec := range m.Cells {
+		done[rec.ID] = rec
+	}
+	return done, m.Metrics, nil
+}
+
+// MergeResult is a verified, finalized campaign bundle set.
+type MergeResult struct {
+	Campaign string
+	// CSVName is the conventional CSV file name for this campaign.
+	CSVName string
+	// Rows is the finalize output, same dynamic type as the unsharded
+	// entry point returns ([]Fig2Row, []Fig5Cell, ...).
+	Rows any
+	// Metrics is the cross-slot rollup, nil when no bundle embedded a
+	// snapshot.
+	Metrics *obs.Snapshot
+	c       *campaign
+}
+
+// WriteCSV renders the merged rows as the campaign's CSV.
+func (r *MergeResult) WriteCSV(w io.Writer) error { return r.c.writeCSV(w, r.Rows) }
+
+// MergeManifests verifies a bundle set and finalizes it, printing the
+// report to opt.Out. Every bundle must validate and share one
+// campaign, options fingerprint, partition width and leased flag; a
+// hash shard bundle must also be complete. The stored records are
+// unioned, a cell stored twice must agree by digest, and the union
+// must cover every canonical cell: a hash cell whose owning shard was
+// not supplied is an error, any other gap is ErrIncomplete. Each
+// slot's metrics count once. Finalize is the code the unsharded run
+// uses, and Go's JSON float round-trip is exact, so the report and CSV
+// are byte-identical to an unsharded run.
+func MergeManifests(opt Options, manifests []*CampaignManifest) (*MergeResult, error) {
+	if len(manifests) == 0 {
+		return nil, fmt.Errorf("expt: merge: no manifests")
+	}
+	first := manifests[0]
+	h, err := OpenCampaign(first.Campaign, opt)
+	if err != nil {
+		return nil, err
+	}
+	slots := map[int]bool{}
+	var snaps []*obs.Snapshot
+	for _, m := range manifests {
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
+		switch {
+		case m.Campaign != first.Campaign:
+			return nil, fmt.Errorf("expt: merge: mixed campaigns %s and %s", first.Campaign, m.Campaign)
+		case m.Leased != first.Leased:
+			return nil, fmt.Errorf("expt: merge: cannot mix leased worker bundles and hash-partitioned shard bundles")
+		case m.Shard.Total != first.Shard.Total:
+			return nil, fmt.Errorf("expt: merge: mixed partitions /%d and /%d", first.Shard.Total, m.Shard.Total)
+		case m.Fingerprint != h.fp:
+			return nil, fmt.Errorf("expt: merge: shard %s fingerprint %s does not match options fingerprint %s",
+				m.Shard, m.Fingerprint, h.fp)
+		case !m.Leased && !m.Complete():
+			return nil, fmt.Errorf("%w: shard %s has %d of %d cells (resume it before merging)",
+				ErrIncomplete, m.Shard, m.Ledger.DoneCount(), len(m.Ledger.Nodes))
+		}
+		if !slots[m.Shard.Index] {
+			slots[m.Shard.Index] = true
+			snaps = append(snaps, m.Metrics)
+		}
+	}
+	records, conflicts := unionCells(manifests)
+	if len(conflicts) > 0 {
+		return nil, conflicts[0]
+	}
+	for _, id := range h.ids {
+		if _, ok := records[id]; ok {
+			continue
+		}
+		if owner := shardOf(h.Name(), id, first.Shard.Total); !first.Leased && !slots[owner] {
+			return nil, fmt.Errorf("expt: merge: cell %q belongs to shard %d/%d, which was not supplied", id, owner, first.Shard.Total)
+		}
+		return nil, fmt.Errorf("%w: cell %q is in no bundle (%d of %d cells done)", ErrIncomplete, id, len(records), len(h.ids))
+	}
+	res, err := h.Finalize(nil, records)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range snaps {
+		if s != nil {
+			res.Metrics = obs.MergeSnapshots(snaps...)
+			break
+		}
+	}
+	return res, nil
+}
+
+// MergeManifestFiles is MergeManifests over manifest bundle paths.
+func MergeManifestFiles(opt Options, paths []string) (*MergeResult, error) {
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("expt: merge: no manifest files")
+	}
+	manifests := make([]*CampaignManifest, len(paths))
+	for i, p := range paths {
+		m, err := ReadCampaignManifestFile(p)
+		if err != nil {
+			return nil, err
+		}
+		manifests[i] = m
+	}
+	return MergeManifests(opt, manifests)
+}
+
+// A cellConflict is a cell stored by two bundles with different
+// digests — a determinism violation, never settled last-write-wins.
+type cellConflict struct {
+	id           string
+	digA, digB   string
+	slotA, slotB ShardSpec
+}
+
+func (c cellConflict) Error() string {
+	return fmt.Sprintf("expt: merge: cell %q stored with conflicting digests: %s (slot %s) vs %s (slot %s) — refusing last-write-wins",
+		c.id, c.digA, c.slotA, c.digB, c.slotB)
+}
+
+// unionCells collects every stored record across bundles, in bundle
+// order, keeping the first copy of each cell. It returns the first
+// conflict for each cell whose later copies disagree by digest, in the
+// order the conflicts are found.
+func unionCells(manifests []*CampaignManifest) (map[string]CellRecord, []cellConflict) {
+	records := map[string]CellRecord{}
+	from := map[string]ShardSpec{}
+	var conflicts []cellConflict
+	conflicted := map[string]bool{}
+	for _, m := range manifests {
+		for _, rec := range m.Cells {
+			prev, ok := records[rec.ID]
+			if !ok {
+				records[rec.ID] = rec
+				from[rec.ID] = m.Shard
+				continue
+			}
+			if prev.Digest != rec.Digest && !conflicted[rec.ID] {
+				conflicted[rec.ID] = true
+				conflicts = append(conflicts, cellConflict{rec.ID, prev.Digest, rec.Digest, from[rec.ID], m.Shard})
+			}
+		}
+	}
+	return records, conflicts
 }

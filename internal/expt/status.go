@@ -176,38 +176,23 @@ func Status(opt Options, paths []string) (*StatusReport, error) {
 			Total:       k.total,
 			Bundles:     len(ms),
 		}
-		// Union coverage with digest-conflict detection, bundle order.
-		digests := map[string]string{}
-		conflicted := map[string]bool{}
-		for _, m := range ms {
-			for _, rec := range m.Cells {
-				if d, ok := digests[rec.ID]; ok {
-					if d != rec.Digest && !conflicted[rec.ID] {
-						conflicted[rec.ID] = true
-						cs.Conflicts = append(cs.Conflicts, rec.ID)
-					}
-					continue
-				}
-				digests[rec.ID] = rec.Digest
-			}
-			if m.SimMax > cs.SimMax {
-				cs.SimMax = m.SimMax
-			}
+		records, conflicts := unionCells(ms)
+		for _, c := range conflicts {
+			cs.Conflicts = append(cs.Conflicts, c.id)
 		}
-		cs.CellsDone = len(digests)
-		if c, err := campaignByName(k.campaign); err == nil {
-			if fp, err := opt.Fingerprint(k.campaign); err == nil && fp == k.fp {
-				if ids, err := c.cells(opt); err == nil {
-					cs.OptionsMatch = true
-					cs.CellsTotal = len(ids)
-					for _, id := range ids {
-						if _, ok := digests[id]; !ok {
-							cs.IncompleteCells = append(cs.IncompleteCells, id)
-						}
-					}
-					cs.Complete = len(cs.IncompleteCells) == 0 && len(cs.Conflicts) == 0
+		for _, m := range ms {
+			cs.SimMax = max(cs.SimMax, m.SimMax)
+		}
+		cs.CellsDone = len(records)
+		if h, err := OpenCampaign(k.campaign, opt); err == nil && h.fp == k.fp {
+			cs.OptionsMatch = true
+			cs.CellsTotal = len(h.ids)
+			for _, id := range h.ids {
+				if _, ok := records[id]; !ok {
+					cs.IncompleteCells = append(cs.IncompleteCells, id)
 				}
 			}
+			cs.Complete = len(cs.IncompleteCells) == 0 && len(cs.Conflicts) == 0
 		}
 		rep.Campaigns = append(rep.Campaigns, cs)
 	}

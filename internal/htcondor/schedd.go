@@ -213,23 +213,6 @@ func (s *Schedd) pump() {
 // "unsubmitted" jobs the paper's bursting policies 1 and 3 offload.
 func (s *Schedd) StagedCount() int { return len(s.staged) }
 
-// PopStaged removes and returns the last staged job, or nil if none
-// (used by the bursting simulator to offload unsubmitted work).
-func (s *Schedd) PopStaged() *Job {
-	if len(s.staged) == 0 {
-		return nil
-	}
-	j := s.staged[len(s.staged)-1]
-	s.staged = s.staged[:len(s.staged)-1]
-	j.Status = Removed
-	s.removed++
-	if s.obs != nil {
-		s.met.offloaded.Inc()
-		s.queueGauges()
-	}
-	return j
-}
-
 func (s *Schedd) appendEvent(j *Job, t EventType, host string) {
 	if s.obs != nil {
 		c := s.met.events[t]

@@ -110,14 +110,11 @@ func (l *UserLog) Flush() error {
 	return err
 }
 
-// FormatEvent renders one event in HTCondor user-log syntax:
+// appendEventText appends one event in HTCondor user-log syntax to b
+// without a fmt.Sprintf round trip — the userlog hot path:
 //
 //	005 (1234.000.000) 2023-11-12 03:14:15 Job terminated.
 //	...
-func FormatEvent(ev JobEvent) string { return string(appendEventText(nil, ev)) }
-
-// appendEventText appends FormatEvent's output to b without the
-// fmt.Sprintf round trip — the userlog hot path.
 func appendEventText(b []byte, ev JobEvent) []byte {
 	b = appendZeroPad(b, int(ev.Type), 3)
 	b = append(b, " ("...)
@@ -147,7 +144,7 @@ func appendZeroPad(b []byte, v, width int) []byte {
 	return append(b, s...)
 }
 
-// ParseUserLog parses text produced by FormatEvent (a subset of real
+// ParseUserLog parses text written by a UserLog (a subset of real
 // HTCondor logs: the "..." separator, the numeric event code, the id
 // triple, and the timestamp).
 func ParseUserLog(r io.Reader) ([]JobEvent, error) {

@@ -45,7 +45,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"fdw/internal/dagman"
 	"fdw/internal/expt"
 	"fdw/internal/faults"
 	"fdw/internal/obs"
@@ -58,9 +57,7 @@ import (
 // tests substitute scripted fakes and Memoize wraps any Source with a
 // result cache.
 type Source interface {
-	Name() string
-	Fingerprint() string
-	CellIDs() []string
+	expt.CampaignRef
 	RunCell(id string) (expt.CellRecord, error)
 }
 
@@ -226,7 +223,6 @@ type scheduler struct {
 	k   *sim.Kernel
 
 	ids []string
-	pos map[string]int
 
 	pending    map[string]int // queued cell -> reserved worker id (-1 = any)
 	holders    map[string][]*assignment
@@ -264,7 +260,6 @@ func Run(src Source, cfg Config) (*Result, error) {
 		src:        src,
 		k:          sim.NewKernel(1),
 		ids:        ids,
-		pos:        make(map[string]int, len(ids)),
 		pending:    make(map[string]int, len(ids)),
 		holders:    map[string][]*assignment{},
 		lastHolder: map[string]int{},
@@ -272,8 +267,7 @@ func Run(src Source, cfg Config) (*Result, error) {
 		doneBy:     map[string]int{},
 		crashSpent: make([]bool, len(cfg.Plan.Crashes)),
 	}
-	for i, id := range ids {
-		s.pos[id] = i
+	for _, id := range ids {
 		s.pending[id] = -1
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -782,62 +776,30 @@ func (s *scheduler) reportRecovered(w *worker) {
 	}
 }
 
-// checkpoint atomically rewrites w's durable bundle: a leased
-// CampaignManifest holding its checkpointed cells in canonical order.
+// checkpoint atomically rewrites w's durable bundle: a leased bundle
+// holding its checkpointed cells.
 func (s *scheduler) checkpoint(w *worker) error {
-	m := &expt.CampaignManifest{
-		Format:      expt.CampaignManifestFormat,
-		Campaign:    s.src.Name(),
-		Shard:       expt.ShardSpec{Index: w.id + 1, Total: s.cfg.Workers},
-		Leased:      true,
-		Fingerprint: s.src.Fingerprint(),
-		Ledger: dagman.Manifest{
-			Format: dagman.ManifestFormat,
-			DAG:    fmt.Sprintf("%s-worker%dof%d", s.src.Name(), w.id+1, s.cfg.Workers),
-		},
-	}
-	for _, id := range s.ids {
-		rec, ok := w.done[id]
-		if !ok {
-			continue
-		}
-		m.Ledger.Nodes = append(m.Ledger.Nodes, dagman.ManifestNode{Name: id, Done: true})
-		m.Cells = append(m.Cells, rec)
-		if rec.SimEnd > m.SimMax {
-			m.SimMax = rec.SimEnd
-		}
-	}
-	return m.WriteFile(w.bundle)
+	return expt.NewBundle(s.src, s.slot(w), true, s.ids, w.done, nil).WriteFile(w.bundle)
 }
 
 // loadBundle restores w's durable state from disk; a missing bundle is
 // a fresh worker.
 func (s *scheduler) loadBundle(w *worker) error {
-	w.done = map[string]expt.CellRecord{}
-	w.completions = 0
-	m, err := expt.ReadCampaignManifestFile(w.bundle)
+	done, _, err := expt.LoadBundle(s.src, w.bundle, s.slot(w), true)
+	if errors.Is(err, os.ErrNotExist) {
+		done, err = map[string]expt.CellRecord{}, nil
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
 		return fmt.Errorf("sched: worker %d bundle: %w", w.id, err)
 	}
-	if !m.Leased || m.Campaign != s.src.Name() || m.Shard.Index != w.id+1 || m.Shard.Total != s.cfg.Workers {
-		return fmt.Errorf("sched: worker %d bundle %s is campaign %s shard %s (leased=%t), want leased %s worker %d/%d",
-			w.id, w.bundle, m.Campaign, m.Shard, m.Leased, s.src.Name(), w.id+1, s.cfg.Workers)
-	}
-	if m.Fingerprint != s.src.Fingerprint() {
-		return fmt.Errorf("sched: worker %d bundle fingerprint %s does not match options fingerprint %s (different scale/seeds?)",
-			w.id, m.Fingerprint, s.src.Fingerprint())
-	}
-	for _, rec := range m.Cells {
-		if _, ok := s.pos[rec.ID]; !ok {
-			return fmt.Errorf("sched: worker %d bundle has unknown cell %q", w.id, rec.ID)
-		}
-		w.done[rec.ID] = rec
-	}
-	w.completions = len(w.done)
+	w.done = done
+	w.completions = len(done)
 	return nil
+}
+
+// slot is w's bundle slot: worker index w.id+1 of the fleet.
+func (s *scheduler) slot(w *worker) expt.ShardSpec {
+	return expt.ShardSpec{Index: w.id + 1, Total: s.cfg.Workers}
 }
 
 // Memoize wraps a Source with a per-cell result cache. Sources are

@@ -3,6 +3,7 @@ package vdc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -91,12 +92,31 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds a request body. A product record or a tag list
+// is a few hundred bytes; nothing legitimate comes close.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes. On failure it writes the error response (413 for an
+// oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("vdc: bad %s JSON: %v", what, err))
+	return false
+}
+
 func (s *Server) handleProducts(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var p Product
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("vdc: bad product JSON: %v", err))
+		if !decodeBody(w, r, "product", &p) {
 			return
 		}
 		id, err := s.catalog.Deposit(p)
@@ -149,8 +169,7 @@ func (s *Server) handleProduct(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var tags []string
-		if err := json.NewDecoder(r.Body).Decode(&tags); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("vdc: bad tags JSON: %v", err))
+		if !decodeBody(w, r, "tags", &tags) {
 			return
 		}
 		if err := s.catalog.Tag(id, tags...); err != nil {

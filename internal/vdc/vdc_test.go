@@ -232,6 +232,35 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// Bodies past maxBodyBytes are refused with 413 and leave the catalog
+// as it was.
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	c := NewCatalog()
+	id := deposit(t, c, "run000001 waveforms", TypeWaveform, 8.1, "eew")
+	srv := NewServer(c)
+	huge := strings.Repeat("x", maxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/products", `{"name":"big","type":"waveform","batch":"b","region":"r","description":"` + huge + `"}`},
+		{"/products/" + id + "/tags", `["` + huge + `"]`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d-byte body → %d, want %d", tc.path, len(tc.body), rec.Code, http.StatusRequestEntityTooLarge)
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("catalog holds %d products after oversized deposit, want 1", c.Len())
+	}
+	p, err := c.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Tags) != 1 || p.Tags[0] != "eew" {
+		t.Fatalf("tags after oversized tag request: %v", p.Tags)
+	}
+}
+
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	s := NewServer(NewCatalog())
 	srv := httptest.NewServer(s)

@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-PR gate (DESIGN.md §7).
 
-.PHONY: check test bench build lint
+.PHONY: check test bench build lint loc
 
 check:
 	sh scripts/check.sh
@@ -18,3 +18,8 @@ test:
 
 bench:
 	go test -run '^$$' -bench . -benchmem .
+
+# Non-test Go LOC, the size measure simplicity changes report before
+# and after (ROADMAP aim 2).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l

@@ -8,6 +8,7 @@ package fdw_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"fdw"
@@ -139,13 +140,22 @@ func benchRandom(rows, cols int, seed uint64) *linalg.Matrix {
 	return m
 }
 
+// oneProc runs a sub-benchmark at GOMAXPROCS=1, so the kernels it
+// times never fan out: the serial/* rows of BENCH_kernels.json.
+func oneProc(b *testing.B) {
+	old := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // BenchmarkCholesky factorizes covariance-sized SPD matrices.
-// serial/parallel run the blocked kernel; reference runs the retained
-// unblocked executable spec (reference.go).
+// serial (GOMAXPROCS=1) and parallel (ambient GOMAXPROCS) run the
+// blocked kernel; reference runs the retained unblocked executable
+// spec (reference.go).
 func BenchmarkCholesky(b *testing.B) {
 	for _, n := range kernelSizes {
 		m := benchSPD(n)
 		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) {
+			oneProc(b)
 			for i := 0; i < b.N; i++ {
 				if _, err := linalg.Cholesky(m); err != nil {
 					b.Fatal(err)
@@ -154,7 +164,7 @@ func BenchmarkCholesky(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := linalg.ParallelCholesky(m); err != nil {
+				if _, err := linalg.Cholesky(m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,14 +179,16 @@ func BenchmarkCholesky(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul multiplies square dense matrices. serial/parallel
-// run the blocked FMA kernel; reference runs the retained naive i-k-j
-// executable spec (reference.go), quantifying the blocked speedup.
+// BenchmarkMatMul multiplies square dense matrices. serial
+// (GOMAXPROCS=1) and parallel (ambient GOMAXPROCS) run the blocked FMA
+// kernel; reference runs the retained naive i-k-j executable spec
+// (reference.go), quantifying the blocked speedup.
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range kernelSizes {
 		x := benchRandom(n, n, 1)
 		y := benchRandom(n, n, 2)
 		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) {
+			oneProc(b)
 			for i := 0; i < b.N; i++ {
 				if _, err := x.Mul(y); err != nil {
 					b.Fatal(err)
@@ -185,7 +197,7 @@ func BenchmarkMatMul(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := x.ParallelMul(y); err != nil {
+				if _, err := x.Mul(y); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -89,12 +89,6 @@ func NewMetrics(clock func() SimTime) *Metrics { return obs.NewRegistry(clock) }
 // Metrics.WriteJSON (the `-metrics` dump of cmd/fdw and cmd/fdwexp).
 var ReadMetricsSnapshot = obs.ReadSnapshot
 
-// MergeMetricsSnapshots rolls several snapshots (e.g. one per campaign
-// shard) into one: counters and histogram mass sum exactly, gauges
-// keep the latest sample, quantiles are re-estimated from merged
-// buckets. Deterministic output order; nil inputs are skipped.
-var MergeMetricsSnapshots = obs.MergeSnapshots
-
 // WriteMetricsSnapshot renders a snapshot in the same JSON format as
 // Metrics.WriteJSON, so merged rollups and live dumps are
 // interchangeable inputs to ReadMetricsSnapshot.
@@ -105,13 +99,6 @@ var WriteMetricsSnapshot = obs.WriteSnapshotJSON
 // via Env.Obs.
 func NewMeteredEnv(seed uint64, pool PoolConfig) (*Env, error) {
 	return core.NewMeteredEnv(seed, pool)
-}
-
-// NewEnvWithMetrics builds an environment reporting into an existing
-// registry (e.g. one shared across several environments). reg may be
-// nil, which is NewEnv.
-func NewEnvWithMetrics(seed uint64, pool PoolConfig, reg *Metrics) (*Env, error) {
-	return core.NewEnvObs(seed, pool, reg)
 }
 
 // MeterFactorCache mirrors the covariance factor cache's hit/miss
@@ -131,14 +118,6 @@ func EnableGFCache(dir string) {
 		return
 	}
 	fakequakes.DefaultGFCache = fakequakes.NewGFCache(dir)
-}
-
-// MeterGFCache mirrors the Green's-function cache's hit/miss tallies
-// into reg. A no-op until EnableGFCache installs a cache.
-func MeterGFCache(reg *Metrics) {
-	if fakequakes.DefaultGFCache != nil {
-		fakequakes.DefaultGFCache.SetObs(reg)
-	}
 }
 
 // Workflow is one FDW run (a DAGMan with its own schedd identity).

@@ -43,7 +43,7 @@ func AblationRecycling(opt Options) ([]AblationRow, error) {
 		if !recycle {
 			label = "regenerate .npy"
 		}
-		rt, jpm, jobs, err := runOne(opt, cfg, opt.Seeds[0])
+		rt, jpm, jobs, _, err := runOneCell(opt, cfg, opt.Seeds[0])
 		if err != nil {
 			return err
 		}
@@ -141,7 +141,7 @@ func AblationFanout(opt Options) ([]AblationRow, error) {
 		cfg.Waveforms = n
 		cfg.WaveformsPerJob = perJob
 		cfg.Name = fmt.Sprintf("ablate-fanout-%d", perJob)
-		rt, jpm, jobs, err := runOne(opt, cfg, opt.Seeds[0])
+		rt, jpm, jobs, _, err := runOneCell(opt, cfg, opt.Seeds[0])
 		if err != nil {
 			return err
 		}

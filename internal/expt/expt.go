@@ -107,15 +107,10 @@ func (o Options) scaleN(n int) int {
 	return v
 }
 
-// runOne executes a single FDW workflow and returns (runtime hours,
-// throughput JPM, completed jobs).
-func runOne(opt Options, cfg core.Config, seed uint64) (float64, float64, int, error) {
-	rt, jpm, jobs, _, err := runOneCell(opt, cfg, seed)
-	return rt, jpm, jobs, err
-}
-
-// runOneCell is runOne plus the simulation's final kernel clock — the
-// sim-clock provenance a campaign manifest records per cell.
+// runOneCell executes a single FDW workflow and returns (runtime
+// hours, throughput JPM, completed jobs, final kernel clock). The
+// clock is the sim-clock provenance a campaign manifest records per
+// cell.
 func runOneCell(opt Options, cfg core.Config, seed uint64) (float64, float64, int, sim.Time, error) {
 	env, err := core.NewEnvObs(seed, opt.Pool, opt.Obs)
 	if err != nil {

@@ -399,7 +399,7 @@ func TestCalibration16kRegression(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Waveforms = 16000
 	cfg.Name = "calib16k"
-	rt, jpm, jobs, err := runOne(opt, cfg, 11)
+	rt, jpm, jobs, _, err := runOneCell(opt, cfg, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func Headline(opt Options) (*HeadlineResult, error) {
 		cfg.Name = fmt.Sprintf("headline-%d", q)
 		cfg.Waveforms = q
 		cfg.Seed = seed
-		rt, jpm, _, err := runOne(opt, cfg, seed)
+		rt, jpm, _, _, err := runOneCell(opt, cfg, seed)
 		if err != nil {
 			return fmt.Errorf("headline %d run: %w", q, err)
 		}

@@ -20,25 +20,23 @@ import (
 // later run (or parallel job) sharing the same geometry loads them
 // and skips ComputeGreens entirely.
 //
-// Durability follows the covcache contract: files are written through
-// writeNPY (atomicfile: temp + fsync + rename), and a truncated or
-// garbage file on load is skipped and recomputed — never trusted,
-// never fatal. The loaded float64 bits are exactly the computed bits
-// (npy round-trips them verbatim), so warm runs are byte-identical to
-// cold runs by construction.
+// Durability: files are written through writeNPY (atomicfile: temp +
+// fsync + rename), and a truncated or garbage file on load is skipped
+// and recomputed — never trusted, never fatal. The loaded float64 bits
+// are exactly the computed bits (npy round-trips them verbatim), so
+// warm runs are byte-identical to cold runs by construction.
 
 // computeGreensCalls counts ComputeGreens invocations; the recycling
 // tests use it to assert a warm cache run skips Phase B entirely.
 var computeGreensCalls atomic.Uint64
 
 // gfKernelVersion tags GFFingerprint with the generation of the
-// synthesis arithmetic, mirroring covKernelVersion: if the kernel
-// formulas or their rounding ever change, bumping this orphans every
-// stale greens_*.npy instead of letting it break bit-determinism.
+// synthesis arithmetic: if the kernel formulas or their rounding ever
+// change, bumping this orphans every stale greens_*.npy instead of
+// letting it break bit-determinism.
 const gfKernelVersion = 1
 
-// gfNPYPattern names persisted kernels after their fingerprint, the
-// covfactor_*.npy convention one product up.
+// gfNPYPattern names persisted kernels after their fingerprint.
 const gfNPYPattern = "greens_%016x.npy"
 
 // GFCache persists Green's-function kernels in a directory, keyed by
@@ -136,9 +134,9 @@ func GFFingerprint(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, 
 // recycled from the cache directory when a fingerprint-matching .npy
 // holds a well-formed kernel of the expected shape, otherwise computed
 // and persisted. The second result reports a warm hit. A corrupt or
-// truncated cache file is skipped and recomputed — the covcache
-// durability contract — but a failure to *persist* a fresh kernel is
-// reported, since silently dropping it would turn every later run cold.
+// truncated cache file is skipped and recomputed — never trusted,
+// never fatal — but a failure to *persist* a fresh kernel is reported,
+// since silently dropping it would turn every later run cold.
 func (c *GFCache) LoadOrCompute(f *geom.Fault, stations []geom.Station, d *DistanceMatrices, cfg GFConfig) (*GreensFunctions, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err

@@ -62,7 +62,6 @@ type scheddMetrics struct {
 	waitSecs   *obs.Histogram
 	execSecs   *obs.Histogram
 	rejected   *obs.Counter
-	offloaded  *obs.Counter
 	events     map[EventType]*obs.Counter
 }
 
@@ -100,7 +99,6 @@ func (s *Schedd) SetObs(r *obs.Registry) {
 		waitSecs:   r.Histogram("fdw_schedd_wait_seconds", "schedd", s.Name),
 		execSecs:   r.Histogram("fdw_schedd_exec_seconds", "schedd", s.Name),
 		rejected:   r.Counter("fdw_schedd_submit_rejected_total", "schedd", s.Name),
-		offloaded:  r.Counter("fdw_schedd_offloaded_total", "schedd", s.Name),
 		events:     map[EventType]*obs.Counter{},
 	}
 	if s.spans == nil {

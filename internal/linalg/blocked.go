@@ -151,12 +151,11 @@ func goKern4x8(kc int, a []float64, lda int, b []float64, c []float64, ldc int) 
 // the kernel definition, not a tuning knob to flip casually.
 const cholNB = 32
 
-// blockedCholesky is the shared core of Cholesky and ParallelCholesky:
-// a left-looking panel factorization. For each NB-wide panel the bulk
-// of the prefix — the dot products against all columns left of the
-// panel — is one gemmAcc call (rows × NB × p flops through the
-// micro-kernel); the remaining in-panel prefix terms use plain scalar
-// dots. Per element the order is fixed by construction: fused chain
+// blockedCholesky is Cholesky's kernel: a left-looking panel
+// factorization. For each NB-wide panel the bulk of the prefix — the
+// dot products against all columns left of the panel — is one gemmAcc
+// call (rows × NB × p flops through the micro-kernel); the remaining
+// in-panel prefix terms use plain scalar dots. Per element the order is fixed by construction: fused chain
 // over k < p, then plain chain over p ≤ k < j, then one subtraction —
 // identical whether the row quads ran serial or parallel.
 func blockedCholesky(m *Matrix, par bool) (*Matrix, error) {

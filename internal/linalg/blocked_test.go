@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -59,8 +58,8 @@ func TestBlockedMulBitsEqualFMASpec(t *testing.T) {
 
 // TestBlockedMulMatchesReference is the blocked-vs-reference property
 // test: numerical agreement (not bitwise — the fused rounding is the
-// repin) across square, rectangular, odd, non-tile-multiple shapes,
-// for the serial and the parallel entry point at any worker count.
+// repin) across square, rectangular, odd, non-tile-multiple shapes, at
+// one worker and with fan-out.
 func TestBlockedMulMatchesReference(t *testing.T) {
 	sizes := nonTileSizes
 	if testing.Short() {
@@ -83,31 +82,25 @@ func TestBlockedMulMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, procs := range []int{1, 4} {
-			old := runtime.GOMAXPROCS(procs)
-			for name, got := range map[string]func() (*Matrix, error){
-				"serial":   func() (*Matrix, error) { return a.Mul(b) },
-				"parallel": func() (*Matrix, error) { return a.ParallelMul(b) },
-			} {
-				m, err := got()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Operands in [-1,1]: the two kernels differ only in
-				// rounding, bounded well below K·eps per element.
-				tol := 1e-12 * float64(kK+1)
-				if d := maxAbsDiff(want.Data, m.Data); d > tol {
-					t.Fatalf("%s %dx%dx%d (procs=%d): blocked vs reference differ by %g (tol %g)",
-						name, mM, kK, nN, procs, d, tol)
-				}
+			var m *Matrix
+			withProcs(procs, func() { m, err = a.Mul(b) })
+			if err != nil {
+				t.Fatal(err)
 			}
-			runtime.GOMAXPROCS(old)
+			// Operands in [-1,1]: the two kernels differ only in
+			// rounding, bounded well below K·eps per element.
+			tol := 1e-12 * float64(kK+1)
+			if d := maxAbsDiff(want.Data, m.Data); d > tol {
+				t.Fatalf("%dx%dx%d (procs=%d): blocked vs reference differ by %g (tol %g)",
+					mM, kK, nN, procs, d, tol)
+			}
 		}
 	}
 }
 
 // TestBlockedCholeskyMatchesReference: same property for the
 // factorization, including sizes straddling the cholNB panels and the
-// parallel cutoff.
+// fan-out cutoff.
 func TestBlockedCholeskyMatchesReference(t *testing.T) {
 	sizes := nonTileSizes
 	if testing.Short() {
@@ -120,22 +113,16 @@ func TestBlockedCholeskyMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, procs := range []int{1, 4} {
-			old := runtime.GOMAXPROCS(procs)
-			for name, got := range map[string]func() (*Matrix, error){
-				"serial":   func() (*Matrix, error) { return Cholesky(m) },
-				"parallel": func() (*Matrix, error) { return ParallelCholesky(m) },
-			} {
-				l, err := got()
-				if err != nil {
-					t.Fatalf("%s n=%d: %v", name, n, err)
-				}
-				tol := 1e-10 * float64(n+1)
-				if d := maxAbsDiff(want.Data, l.Data); d > tol {
-					t.Fatalf("%s n=%d (procs=%d): blocked vs reference differ by %g (tol %g)",
-						name, n, procs, d, tol)
-				}
+			var l *Matrix
+			withProcs(procs, func() { l, err = Cholesky(m) })
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
 			}
-			runtime.GOMAXPROCS(old)
+			tol := 1e-10 * float64(n+1)
+			if d := maxAbsDiff(want.Data, l.Data); d > tol {
+				t.Fatalf("n=%d (procs=%d): blocked vs reference differ by %g (tol %g)",
+					n, procs, d, tol)
+			}
 		}
 	}
 }
@@ -163,55 +150,51 @@ func TestBlockedCholeskyNotPositiveDefinite(t *testing.T) {
 
 // TestParallelCutoffNeverDispatches pins the size/worker cutoff: at
 // every benchmark-recorded size with one worker, and at small sizes
-// with many workers, the parallel entry points must run the serial
-// code path — zero pool dispatches — so parallel ≤ serial + the cost
-// of the cutoff comparison at every recorded size by construction
-// (the pre-blocking kernel paid per-column fan-out at GOMAXPROCS=1
-// and lost 169.6ms vs 156.0ms at n=1024).
+// with many workers, the kernels must run on the caller — zero pool
+// dispatches — so fan-out costs at most the cutoff comparison at every
+// recorded size by construction (the pre-blocking parallel Cholesky
+// paid per-column fan-out at GOMAXPROCS=1 and lost 169.6ms vs 156.0ms
+// at n=1024).
 func TestParallelCutoffNeverDispatches(t *testing.T) {
 	recorded := []int{256, 512, 1024}
 	if testing.Short() {
 		recorded = []int{256, 512}
 	}
-	old := runtime.GOMAXPROCS(1)
-	before := poolDispatches.Load()
-	for _, n := range recorded {
-		if _, err := ParallelCholesky(spdMatrix(n)); err != nil {
-			t.Fatal(err)
-		}
-		a := randomMatrix(n, n, uint64(n))
-		if _, err := a.ParallelMul(a); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.ParallelMulVec(a.Row(0)); err != nil {
-			t.Fatal(err)
+	dispatches := func(procs int, f func()) uint64 {
+		before := poolDispatches.Load()
+		withProcs(procs, f)
+		return poolDispatches.Load() - before
+	}
+	kernels := func(sizes []int) func() {
+		return func() {
+			for _, n := range sizes {
+				if _, err := Cholesky(spdMatrix(n)); err != nil {
+					t.Fatal(err)
+				}
+				a := randomMatrix(n, n, uint64(n))
+				if _, err := a.Mul(a); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := a.MulVec(a.Row(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	if got := poolDispatches.Load(); got != before {
-		t.Fatalf("one-worker parallel entry points dispatched %d pool tasks, want 0", got-before)
+	if got := dispatches(1, kernels(recorded)); got != 0 {
+		t.Fatalf("one-worker kernels dispatched %d pool tasks, want 0", got)
 	}
-	runtime.GOMAXPROCS(4)
-	before = poolDispatches.Load()
-	for _, n := range []int{2, 16, 33} {
-		if _, err := ParallelCholesky(spdMatrix(n)); err != nil {
-			t.Fatal(err)
-		}
-		a := randomMatrix(n, n, uint64(n))
-		if _, err := a.ParallelMul(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := poolDispatches.Load(); got != before {
-		t.Fatalf("below-cutoff parallel entry points dispatched %d pool tasks, want 0", got-before)
+	if got := dispatches(4, kernels([]int{2, 16, 33})); got != 0 {
+		t.Fatalf("below-cutoff kernels dispatched %d pool tasks, want 0", got)
 	}
 	// Sanity: above the cutoffs with several workers, fan-out happens.
-	if _, err := ParallelCholesky(spdMatrix(300)); err != nil {
-		t.Fatal(err)
+	if dispatches(4, func() {
+		if _, err := Cholesky(spdMatrix(300)); err != nil {
+			t.Fatal(err)
+		}
+	}) == 0 {
+		t.Fatal("above-cutoff Cholesky with 4 workers never reached the pool")
 	}
-	if poolDispatches.Load() == before {
-		t.Fatal("above-cutoff ParallelCholesky with 4 workers never reached the pool")
-	}
-	runtime.GOMAXPROCS(old)
 }
 
 // TestBlockedKernelsAcrossGOMAXPROCS extends the bit-identity pin to
@@ -222,27 +205,20 @@ func TestBlockedKernelsAcrossGOMAXPROCS(t *testing.T) {
 		m := spdMatrix(n)
 		a := randomMatrix(n, n, uint64(n))
 		b := randomMatrix(n, n, uint64(n)+1)
-
-		old := runtime.GOMAXPROCS(1)
-		l1, err := ParallelCholesky(m)
-		if err != nil {
-			t.Fatal(err)
+		var l [2]*Matrix
+		var p [2]*Matrix
+		for i, procs := range []int{1, 4} {
+			withProcs(procs, func() {
+				var err error
+				if l[i], err = Cholesky(m); err != nil {
+					t.Fatal(err)
+				}
+				if p[i], err = a.Mul(b); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		p1, err := a.ParallelMul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.GOMAXPROCS(4)
-		lN, err := ParallelCholesky(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pN, err := a.ParallelMul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.GOMAXPROCS(old)
-		bitsEqual(t, "cholesky gomaxprocs", l1.Data, lN.Data)
-		bitsEqual(t, "mul gomaxprocs", p1.Data, pN.Data)
+		bitsEqual(t, "cholesky gomaxprocs", l[0].Data, l[1].Data)
+		bitsEqual(t, "mul gomaxprocs", p[0].Data, p[1].Data)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -85,13 +86,26 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// MulVec returns m·x. It returns an error on dimension mismatch.
+// MulVec returns m·x. It returns an error on dimension mismatch. Each
+// element is a left-to-right dot product; above parallelFlopCutoff the
+// output rows are partitioned across the shared pool, which never
+// changes a bit.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("linalg: MulVec dim mismatch: %dx%d · %d", m.Rows, m.Cols, len(x))
 	}
 	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	if m.Rows*m.Cols < parallelFlopCutoff {
+		m.mulVecRows(x, y, 0, m.Rows)
+	} else {
+		ParallelFor(m.Rows, rowGrain, func(lo, hi int) { m.mulVecRows(x, y, lo, hi) })
+	}
+	return y, nil
+}
+
+// mulVecRows computes y[i] = m[i]·x for rows lo..hi-1.
+func (m *Matrix) mulVecRows(x, y []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, v := range row {
@@ -99,7 +113,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		}
 		y[i] = s
 	}
-	return y, nil
 }
 
 func mulDimErr(m, b *Matrix) error {
@@ -112,15 +125,20 @@ func cholDimErr(m *Matrix) error {
 
 // Mul returns m·b. It returns an error on dimension mismatch. The
 // product is the cache-blocked kernel (blocked.go): every element is a
-// fused-multiply-add fold over k in increasing order, so Mul is
-// bit-identical to ParallelMul and across architectures; ReferenceMul
-// keeps the pre-blocking kernel as the numerical spec.
+// fused-multiply-add fold over k in increasing order, so the bits are
+// the same across architectures and worker counts. With several
+// workers and at least parallelGemmMinFlops of work, row quads of each
+// panel fan out on the shared pool. ReferenceMul keeps the
+// pre-blocking kernel as the numerical spec.
 func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	if m.Cols != b.Rows {
 		return nil, mulDimErr(m, b)
 	}
+	par := runtime.GOMAXPROCS(0) > 1 &&
+		m.Rows >= 2*gemmMR &&
+		m.Rows*m.Cols*b.Cols >= parallelGemmMinFlops
 	out := NewMatrix(m.Rows, b.Cols)
-	gemmAcc(m.Rows, b.Cols, m.Cols, m.Data, m.Cols, b.Data, b.Cols, false, out.Data, out.Cols, false)
+	gemmAcc(m.Rows, b.Cols, m.Cols, m.Data, m.Cols, b.Data, b.Cols, false, out.Data, out.Cols, par)
 	return out, nil
 }
 
@@ -132,11 +150,12 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // symmetric positive-definite m. Only the lower triangle of m is read.
 // A small jitter may be added by the caller beforehand for matrices
 // that are positive semi-definite up to rounding. The factorization is
-// the blocked left-looking kernel (blocked.go), bit-identical to
-// ParallelCholesky; ReferenceCholesky keeps the pre-blocking kernel as
-// the numerical spec.
+// the blocked left-looking kernel (blocked.go); with several workers
+// and at least parallelCholMinN rows, the per-panel update fans out on
+// the shared pool without changing a bit. ReferenceCholesky keeps the
+// pre-blocking kernel as the numerical spec.
 func Cholesky(m *Matrix) (*Matrix, error) {
-	return blockedCholesky(m, false)
+	return blockedCholesky(m, runtime.GOMAXPROCS(0) > 1 && m.Rows >= parallelCholMinN)
 }
 
 // AddDiag adds eps to every diagonal element in place and returns m.
@@ -255,16 +274,16 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("linalg: rhs length %d for %d rows", len(b), a.Rows)
 	}
 	at := a.T()
-	ata, err := at.ParallelMul(a)
+	ata, err := at.Mul(a)
 	if err != nil {
 		return nil, err
 	}
 	ata.AddDiag(1e-9)
-	atb, err := at.ParallelMulVec(b)
+	atb, err := at.MulVec(b)
 	if err != nil {
 		return nil, err
 	}
-	l, err := ParallelCholesky(ata)
+	l, err := Cholesky(ata)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: normal equations not positive definite: %w", err)
 	}

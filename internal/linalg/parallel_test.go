@@ -54,51 +54,61 @@ func bitsEqual(t *testing.T, name string, a, b []float64) {
 	}
 }
 
-// Sizes straddle the serial cutoff, odd chunk boundaries, and the
+// withProcs runs f with GOMAXPROCS set to procs, restoring it after.
+func withProcs(procs int, f func()) {
+	old := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(old)
+	f()
+}
+
+// Sizes straddle the fan-out cutoffs, odd chunk boundaries, and the
 // benchmark sizes' shape (capped for test speed).
 var paritySizes = []int{1, 2, 3, 7, 16, 33, 64, 129, 256}
 
+// The one-worker path and the fanned-out path of each kernel must give
+// the same bits: at GOMAXPROCS=1 nothing reaches the pool, at 4 every
+// above-cutoff size does.
 func TestParallelCholeskyBitIdentical(t *testing.T) {
 	for _, n := range paritySizes {
 		m := spdMatrix(n)
-		want, err := Cholesky(m)
-		if err != nil {
-			t.Fatalf("n=%d serial: %v", n, err)
-		}
-		got, err := ParallelCholesky(m)
-		if err != nil {
-			t.Fatalf("n=%d parallel: %v", n, err)
+		var want, got *Matrix
+		var errW, errG error
+		withProcs(1, func() { want, errW = Cholesky(m) })
+		withProcs(4, func() { got, errG = Cholesky(m) })
+		if errW != nil || errG != nil {
+			t.Fatalf("n=%d: %v / %v", n, errW, errG)
 		}
 		bitsEqual(t, "cholesky", want.Data, got.Data)
 	}
 }
 
 func TestParallelCholeskyErrors(t *testing.T) {
-	if _, err := ParallelCholesky(NewMatrix(2, 3)); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	bad := NewMatrix(64, 64) // all-zero: not positive definite
-	if _, err := ParallelCholesky(bad); err != ErrNotPositiveDefinite {
-		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
-	}
+	withProcs(4, func() {
+		if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
+			t.Fatal("non-square accepted")
+		}
+		bad := NewMatrix(300, 300) // all-zero: not positive definite
+		if _, err := Cholesky(bad); err != ErrNotPositiveDefinite {
+			t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
+		}
+	})
 }
 
 func TestParallelMulBitIdentical(t *testing.T) {
 	for _, n := range paritySizes {
 		a := randomMatrix(n, n+3, uint64(n))
 		b := randomMatrix(n+3, n+1, uint64(n)+1000)
-		want, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.ParallelMul(b)
-		if err != nil {
-			t.Fatal(err)
+		var want, got *Matrix
+		var errW, errG error
+		withProcs(1, func() { want, errW = a.Mul(b) })
+		withProcs(4, func() { got, errG = a.Mul(b) })
+		if errW != nil || errG != nil {
+			t.Fatalf("n=%d: %v / %v", n, errW, errG)
 		}
 		bitsEqual(t, "mul", want.Data, got.Data)
 	}
 	a := NewMatrix(2, 3)
-	if _, err := a.ParallelMul(NewMatrix(4, 2)); err == nil {
+	if _, err := a.Mul(NewMatrix(4, 2)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -107,17 +117,16 @@ func TestParallelMulVecBitIdentical(t *testing.T) {
 	for _, n := range paritySizes {
 		a := randomMatrix(n, 2*n+1, uint64(n))
 		x := randomMatrix(1, 2*n+1, uint64(n)+5000).Data
-		want, err := a.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.ParallelMulVec(x)
-		if err != nil {
-			t.Fatal(err)
+		var want, got []float64
+		var errW, errG error
+		withProcs(1, func() { want, errW = a.MulVec(x) })
+		withProcs(4, func() { got, errG = a.MulVec(x) })
+		if errW != nil || errG != nil {
+			t.Fatalf("n=%d: %v / %v", n, errW, errG)
 		}
 		bitsEqual(t, "mulvec", want, got)
 	}
-	if _, err := NewMatrix(2, 3).ParallelMulVec(make([]float64, 5)); err == nil {
+	if _, err := NewMatrix(2, 3).MulVec(make([]float64, 5)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -130,22 +139,20 @@ func TestParallelKernelsAcrossGOMAXPROCS(t *testing.T) {
 	a := randomMatrix(n, n, 9)
 	b := randomMatrix(n, n, 10)
 
-	old := runtime.GOMAXPROCS(1)
-	l1, err := ParallelCholesky(m)
+	var l1, p1 *Matrix
+	var errL, errP error
+	withProcs(1, func() {
+		l1, errL = Cholesky(m)
+		p1, errP = a.Mul(b)
+	})
+	if errL != nil || errP != nil {
+		t.Fatal(errL, errP)
+	}
+	lN, err := Cholesky(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := a.ParallelMul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GOMAXPROCS(old)
-
-	lN, err := ParallelCholesky(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pN, err := a.ParallelMul(b)
+	pN, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
 	}

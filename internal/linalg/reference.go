@@ -3,10 +3,9 @@ package linalg
 import "math"
 
 // The pre-blocking kernels, retained verbatim as the executable
-// reference specification (the negotiate_ref.go pattern from the pool
-// rework): simple triple loops whose correctness is obvious by
-// inspection. The blocked kernels in blocked.go must agree with these
-// numerically — property-tested across square, rectangular, odd and
+// reference specification (the ospool negotiate_ref_test.go pattern):
+// simple triple loops whose correctness is obvious by inspection. The
+// blocked kernels in blocked.go must agree with these numerically — property-tested across square, rectangular, odd and
 // non-tile-multiple shapes in blocked_test.go — but not bitwise: the
 // blocked kernels' fused-multiply-add accumulation rounds once per
 // term instead of twice, which is the one-time golden repin recorded

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the equivalence property test for the matchmaking index:
-// negotiateIndexed must produce the exact claim sequence of the retained
-// seed negotiator (negotiate_ref.go) over randomized pools — mixed
+// negotiate must produce the exact claim sequence of the retained seed
+// negotiator (negotiate_ref_test.go) over randomized pools — mixed
 // requirements, multiple owners spread across schedds, retries, pilot
 // churn — across kernel seeds and MatchesPerCycle settings, with and
 // without a stateful recovery veto in the match path.
@@ -103,17 +103,15 @@ func (v *flakyVeto) AttemptEnded(string, *htcondor.Job, AttemptOutcome, float64,
 func (v *flakyVeto) OpenBreakers(sim.Time) []string { return nil }
 
 // propRun executes one randomized workload to completion and returns
-// the full claim trace plus terminal statistics.
+// the full claim trace plus terminal statistics. The trace is rebuilt
+// from the schedds' execute events: every claim marks its job running
+// on the glidein's host "glidein-<id>.<site>", in claim order.
 func propRun(t *testing.T, seed uint64, mpc int, useRef, withVeto bool) (trace []string, started, completed, evictions int) {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	p, err := New(k, propConfig(mpc), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	p.useReference = useRef
-	p.traceMatch = func(j *htcondor.Job, g *glidein) {
-		trace = append(trace, fmt.Sprintf("%.0f %s/%s -> g%d@%s", float64(k.Now()), g.schedd.Name, j.ID(), g.id, g.site.Name))
 	}
 	if withVeto {
 		p.SetRecovery(&flakyVeto{})
@@ -123,8 +121,14 @@ func propRun(t *testing.T, seed uint64, mpc int, useRef, withVeto bool) (trace [
 	// exercises the owner-cursor round-robin against mergeInterleaved.
 	s1 := htcondor.NewSchedd("dag1", k, nil)
 	s2 := htcondor.NewSchedd("dag2", k, nil)
-	p.AddSchedd(s1)
-	p.AddSchedd(s2)
+	for _, s := range []*htcondor.Schedd{s1, s2} {
+		s.Subscribe(func(j *htcondor.Job, ev htcondor.EventType) {
+			if ev == htcondor.EventExecute {
+				trace = append(trace, fmt.Sprintf("%.0f %s/%s -> %s", float64(k.Now()), s.Name, j.ID(), j.Site))
+			}
+		})
+		p.AddSchedd(s)
+	}
 	jr := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
 	for _, owner := range []string{"u1", "u2", "u3"} {
 		for _, s := range []*htcondor.Schedd{s1, s2} {
@@ -133,7 +137,11 @@ func propRun(t *testing.T, seed uint64, mpc int, useRef, withVeto bool) (trace [
 			}
 		}
 	}
-	p.Start()
+	if useRef {
+		p.start(p.negotiateReference)
+	} else {
+		p.Start()
+	}
 	if err := p.RunUntilDone(96 * 3600); err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,11 @@ import (
 // This file retains the seed (pre-index) negotiator verbatim as the
 // executable specification of matchmaking order: per cycle it copies
 // every owner's idle jobs into interleaved queues and linearly scans
-// every free glidein per job. The production path (negotiateIndexed)
-// must select the same matches in the same order;
+// every free glidein per job. The production negotiator must select
+// the same matches in the same order;
 // TestIndexedNegotiatorMatchesReference drives both over randomized
-// pools and asserts the claim sequences are identical. Switch it in
-// with Pool.useReference — it is never used outside tests.
+// pools and asserts the claim sequences are identical. The test
+// switches it in by arming the pool with Pool.start(p.negotiateReference).
 
 // ownerState aggregates fair-share accounting per owner.
 type ownerState struct {
@@ -48,6 +48,9 @@ func (os *ownerState) mergeInterleaved() {
 // reconstructed in ascending id order — the order the seed's append-
 // only p.glideins slice maintained by construction.
 func (p *Pool) negotiateReference() {
+	if p.stopped {
+		return
+	}
 	// Build per-owner queues from all schedds.
 	owners := map[string]*ownerState{}
 	var order []string

@@ -14,7 +14,7 @@
 // fair-share usage, busy counts, claim lookup — is maintained
 // incrementally rather than rebuilt per cycle. The indexed negotiator
 // provably reproduces the seed linear scan match-for-match;
-// negotiate_ref.go retains that linear scan as the executable
+// negotiate_ref_test.go retains that linear scan as the executable
 // specification, and TestIndexedNegotiatorMatchesReference checks the
 // equivalence property.
 package ospool
@@ -280,13 +280,6 @@ type Pool struct {
 
 	stopFns []func()
 
-	// useReference switches negotiate to the retained seed linear-scan
-	// implementation (negotiate_ref.go); traceMatch, if set, observes
-	// every successful claim. Both exist for the equivalence property
-	// test.
-	useReference bool
-	traceMatch   func(j *htcondor.Job, g *glidein)
-
 	// counters
 	started   int
 	completed int
@@ -483,10 +476,14 @@ func (p *Pool) slotGauges() {
 }
 
 // Start arms the provisioning and negotiation tickers.
-func (p *Pool) Start() {
+func (p *Pool) Start() { p.start(p.negotiate) }
+
+// start arms the tickers with cycle as the negotiation step. The
+// equivalence property test passes the seed negotiator here.
+func (p *Pool) start(cycle func()) {
 	p.stopFns = append(p.stopFns,
 		p.kernel.Ticker(0, p.cfg.ProvisionInterval, func(sim.Time) { p.provision() }),
-		p.kernel.Ticker(p.cfg.NegotiationInterval/2, p.cfg.NegotiationInterval, func(sim.Time) { p.negotiate() }),
+		p.kernel.Ticker(p.cfg.NegotiationInterval/2, p.cfg.NegotiationInterval, func(sim.Time) { cycle() }),
 	)
 }
 
@@ -722,10 +719,13 @@ func (p *Pool) expireGlidein(g *glidein) {
 	p.slotGauges()
 }
 
-// negotiate runs one fair-share matchmaking cycle. The indexed
-// negotiator (negotiateIndexed) is the production path; the retained
-// seed linear scan (negotiate_ref.go) is switched in by the
-// equivalence property test.
+// negotiate runs one fair-share matchmaking cycle over the matchmaking
+// index: per-owner lazy cursors into the schedds' idle queues replace
+// the seed's per-cycle queue copy + interleaved merge, and findSlot's
+// per-site heap walk replaces its per-job linear scan over every free
+// glidein. Match-for-match equivalent to the seed negotiator — see
+// DESIGN.md §12 for the argument, TestIndexedNegotiatorMatchesReference
+// for the property check.
 func (p *Pool) negotiate() {
 	if p.stopped {
 		return
@@ -733,21 +733,6 @@ func (p *Pool) negotiate() {
 	if p.obs != nil {
 		p.met.cycles.Inc()
 	}
-	if p.useReference {
-		p.negotiateReference()
-		return
-	}
-	p.negotiateIndexed()
-}
-
-// negotiateIndexed is the fair-share cycle over the matchmaking index:
-// per-owner lazy cursors into the schedds' idle queues replace the
-// per-cycle queue copy + interleaved merge, and findSlot's per-site
-// heap walk replaces the per-job linear scan over every free glidein.
-// Match-for-match equivalent to negotiateReference — see DESIGN.md §12
-// for the argument, TestIndexedNegotiatorMatchesReference for the
-// property check.
-func (p *Pool) negotiateIndexed() {
 	now := p.kernel.Now()
 
 	// The per-job mask cache can outlive its jobs (claimed jobs are
@@ -830,9 +815,6 @@ func (p *Pool) claim(g *glidein, job *htcondor.Job, schedd *htcondor.Schedd) {
 	p.busy++
 	p.ownerRunning[job.Owner]++
 	delete(p.maskByJob, job)
-	if p.traceMatch != nil {
-		p.traceMatch(job, g)
-	}
 	p.started++
 
 	transferIn := 0.0

@@ -7,6 +7,8 @@ package fdw_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"fdw"
@@ -118,5 +120,65 @@ func TestMeteredRunRecordsActivity(t *testing.T) {
 	}
 	if len(snap.Histograms) == 0 {
 		t.Fatal("metered run recorded no histograms")
+	}
+}
+
+// meteredSnapshot runs one campaign at toy scale with a single shared
+// registry (the `fdwexp -metrics` mode) and returns its snapshot.
+func meteredSnapshot(t *testing.T, run func(fdw.ExperimentOptions) error, workers int) *fdw.MetricsSnapshot {
+	t.Helper()
+	opt := fdw.DefaultExperimentOptions()
+	opt.Scale = 0.002
+	opt.Seeds = []uint64{11}
+	opt.Workers = workers
+	opt.Obs = fdw.NewMetrics(nil)
+	if err := run(opt); err != nil {
+		t.Fatal(err)
+	}
+	return opt.Obs.Snapshot()
+}
+
+// TestMetricsCountsExactAcrossWorkers pins what a shared-registry
+// rollup keeps exact across -j: every counter (name, labels, value) and
+// every histogram's observation and bucket counts. Histogram sums,
+// gauge at/value pairs and span order accumulate in worker order and
+// are deliberately not compared (DESIGN.md §8).
+func TestMetricsCountsExactAcrossWorkers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(fdw.ExperimentOptions) error
+	}{
+		{"chaos", func(o fdw.ExperimentOptions) error { _, err := fdw.Chaos(o); return err }},
+		{"fig2", func(o fdw.ExperimentOptions) error { _, err := fdw.Fig2(o); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			one, four := meteredSnapshot(t, c.run, 1), meteredSnapshot(t, c.run, 4)
+			if len(one.Counters) == 0 || len(one.Histograms) == 0 {
+				t.Fatal("metered run recorded no counters or histograms")
+			}
+			counters := func(s *fdw.MetricsSnapshot) []string {
+				var out []string
+				for _, m := range s.Counters {
+					out = append(out, fmt.Sprintf("%s%v=%d", m.Name, m.Labels, m.Value))
+				}
+				return out
+			}
+			hists := func(s *fdw.MetricsSnapshot) []string {
+				var out []string
+				for _, h := range s.Histograms {
+					out = append(out, fmt.Sprintf("%s%v n=%d", h.Name, h.Labels, h.Count))
+					for _, b := range h.Buckets {
+						out = append(out, fmt.Sprintf("  le=%g %d", b.LE, b.Count))
+					}
+				}
+				return out
+			}
+			if a, b := counters(one), counters(four); !reflect.DeepEqual(a, b) {
+				t.Errorf("counters differ between -j 1 and -j 4:\n%v\n%v", a, b)
+			}
+			if a, b := hists(one), hists(four); !reflect.DeepEqual(a, b) {
+				t.Errorf("histogram counts differ between -j 1 and -j 4:\n%v\n%v", a, b)
+			}
+		})
 	}
 }
